@@ -1,18 +1,20 @@
 """Batch simulate() reproduces the Figure 3 preset in vectorised passes.
 
 The fig3 campaign preset evaluates a 45-point grid (L in {1, 2, 4, 8, 16}
-x nine loss-event rates) by running the basic control point by point, one
-Python loop iteration per loss event.  The ``repro.api.simulate_batch``
-facade evaluates the same grid in shared numpy passes, reusing each
-sampled interval block across the whole grid and all formula variants.
-This benchmark checks the redesign's contract twice over:
+x nine loss-event rates) point by point; each point is the vectorised
+kernel on a one-row matrix.  The ``repro.api.simulate_batch`` facade
+evaluates the same grid in shared numpy passes, reusing each sampled
+interval block across the whole grid and all formula variants.  This
+benchmark checks the contract three ways:
 
 * with ``share_noise=False`` the batch derives the preset's own per-point
-  seeds and reproduces every normalized throughput to numerical
-  precision (tolerance 1e-9 -- same draws, vectorised arithmetic);
+  seeds and reproduces every normalized throughput bit for bit (same
+  draws, same kernel arithmetic);
 * with ``share_noise=True`` (one unit-exponential block rescaled per
   point, common random numbers) the qualitative Figure 3 shape holds;
-* both vectorised paths are far faster than the per-point loop.
+* both vectorised paths are far faster, per point, than the per-event
+  ``BasicControl.run`` loop -- the reference semantics, timed on a subset
+  of the preset's own sampled sequences -- and agree with it to 1e-12.
 """
 
 import time
@@ -20,10 +22,41 @@ import time
 import numpy as np
 
 from repro import api
+from repro.core.control import BasicControl
 from repro.experiments import ExperimentRunner, preset
+from repro.lossprocess import ShiftedExponentialIntervals
+from repro.lossprocess.base import make_rng
 from repro.montecarlo import FIGURE3_CV
 
 from conftest import print_table
+
+#: Every ninth preset point: one loss-event rate per window length.
+LOOP_POINT_STRIDE = 9
+
+
+def time_loop_oracle(spec):
+    """Run the per-event loop over a subset of the preset's sequences."""
+    formula = api.FORMULAS.from_config(spec.base["formula"])
+    num_events = int(spec.base["num_events"])
+    subset = spec.expand()[::LOOP_POINT_STRIDE]
+    values = {}
+    started = time.perf_counter()
+    for point in subset:
+        length = int(point.params["history_length"])
+        rate = float(point.params["loss_event_rate"])
+        process = ShiftedExponentialIntervals.from_loss_rate_and_cv(
+            rate, float(point.params["coefficient_of_variation"])
+        )
+        intervals = process.sample_intervals(
+            num_events + length, make_rng(point.seed)
+        )
+        weights = api.WEIGHT_PROFILES.from_config(
+            {"kind": "tfrc", "history_length": length}
+        ).weights()
+        trace = BasicControl(formula, weights=weights).run(intervals)
+        values[(length, rate)] = trace.normalized_throughput(formula)
+    seconds_per_point = (time.perf_counter() - started) / len(subset)
+    return values, seconds_per_point
 
 
 def run_preset_and_batches():
@@ -42,7 +75,7 @@ def run_preset_and_batches():
     started = time.perf_counter()
     campaign = ExperimentRunner().run(spec)
     campaign.raise_errors()
-    scalar_seconds = time.perf_counter() - started
+    campaign_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     exact = api.simulate_batch(api.BatchConfig(share_noise=False, **common))
@@ -51,6 +84,8 @@ def run_preset_and_batches():
     started = time.perf_counter()
     shared = api.simulate_batch(api.BatchConfig(share_noise=True, **common))
     shared_seconds = time.perf_counter() - started
+
+    loop, loop_seconds_per_point = time_loop_oracle(spec)
 
     def as_table(results):
         return {
@@ -69,9 +104,11 @@ def run_preset_and_batches():
         },
         "exact": as_table(exact.results),
         "shared": as_table(shared.results),
-        "scalar_seconds": scalar_seconds,
+        "loop": loop,
+        "campaign_seconds": campaign_seconds,
         "exact_seconds": exact_seconds,
         "shared_seconds": shared_seconds,
+        "loop_grid_seconds": loop_seconds_per_point * len(campaign.results),
     }
 
 
@@ -92,17 +129,24 @@ def test_fig03_batch_matches_preset(run_once):
         ["window"] + [f"p={p}" for p in loss_rates],
         rows,
     )
-    print(f"per-point campaign: {data['scalar_seconds']:.2f} s | vectorised "
-          f"batch: {data['exact_seconds']:.2f} s (matched seeds, "
-          f"x{data['scalar_seconds'] / data['exact_seconds']:.0f}), "
+    loop_seconds = data["loop_grid_seconds"]
+    print(f"per-event loop (extrapolated from {len(data['loop'])} points): "
+          f"{loop_seconds:.2f} s | per-point campaign: "
+          f"{data['campaign_seconds']:.2f} s | vectorised batch: "
+          f"{data['exact_seconds']:.2f} s (matched seeds, "
+          f"x{loop_seconds / data['exact_seconds']:.0f}), "
           f"{data['shared_seconds']:.3f} s (shared noise, "
-          f"x{data['scalar_seconds'] / data['shared_seconds']:.0f})")
+          f"x{loop_seconds / data['shared_seconds']:.0f})")
 
-    # Matched-seed batch reproduces the preset to numerical precision.
+    # Matched-seed batch reproduces the preset bit for bit.
     assert set(scalar) == set(exact) == set(shared)
     for key, value in scalar.items():
-        assert np.isclose(exact[key], value, rtol=1e-9, atol=1e-12), (
-            key, value, exact[key])
+        assert exact[key] == value, (key, value, exact[key])
+
+    # The kernel agrees with the loop oracle on the preset's sequences.
+    for key, value in data["loop"].items():
+        assert np.isclose(scalar[key], value, rtol=1e-12, atol=0.0), (
+            key, value, scalar[key])
 
     # The shared-noise fast path preserves the Figure 3 shape.
     assert shared[(1, 0.4)] < 0.3 * shared[(1, 0.01)]
@@ -111,6 +155,6 @@ def test_fig03_batch_matches_preset(run_once):
     for length in lengths:
         assert shared[(length, 0.4)] < shared[(length, 0.01)]
 
-    # The vectorised grid must beat the per-point loop decisively.
-    assert data["exact_seconds"] < data["scalar_seconds"] / 5.0
-    assert data["shared_seconds"] < data["scalar_seconds"] / 5.0
+    # The vectorised grid must beat the per-event loop decisively.
+    assert data["exact_seconds"] < loop_seconds / 5.0
+    assert data["shared_seconds"] < loop_seconds / 5.0

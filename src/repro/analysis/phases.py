@@ -23,11 +23,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.control import BasicControl, ComprehensiveControl
 from ..core.estimator import tfrc_weights
 from ..core.formulas import LossThroughputFormula
 from ..lossprocess.base import make_rng
 from ..lossprocess.markov import two_phase_process
+from ..montecarlo.vectorized import vectorized_control_trace
 from ..palm.statistics import normalized_interval_covariance
 
 __all__ = ["PhaseStudyPoint", "phase_study", "switching_sweep"]
@@ -97,9 +97,9 @@ def phase_study(
     rng = make_rng(seed)
     window = history_length
     intervals = process.sample_intervals(num_events + window, rng)
-    control_class = ComprehensiveControl if comprehensive else BasicControl
-    control = control_class(formula, weights=tfrc_weights(history_length))
-    trace = control.run(intervals, warmup=window)
+    trace = vectorized_control_trace(
+        formula, intervals, tfrc_weights(history_length), comprehensive
+    )
     return PhaseStudyPoint(
         switch_probability=float(switch_probability),
         normalized_throughput=trace.normalized_throughput(formula),

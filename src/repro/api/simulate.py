@@ -3,9 +3,10 @@
 One entry point covers the package's Monte-Carlo evaluation paths:
 
 * :func:`simulate` takes a :class:`SimConfig` (or its dict/JSON form) and
-  dispatches to the basic / comprehensive control simulation or to the
-  Proposition 1/3 analytic integration, over *any* registered loss
-  process and weight profile;
+  dispatches to the basic / comprehensive control simulation (the
+  vectorised kernel on a one-row matrix) or to the Proposition 1/3
+  analytic integration, over *any* registered loss process and weight
+  profile;
 * :func:`simulate_batch` takes a :class:`BatchConfig` describing a whole
   grid of (formula, p, cv, L) -- or (formula, loss process, L) -- points
   and evaluates it in shared numpy passes through
@@ -18,8 +19,8 @@ One entry point covers the package's Monte-Carlo evaluation paths:
   grid -- which both slashes sampling cost and smooths comparisons
   between neighbouring grid points.  With ``share_noise=False`` each
   point is sampled exactly as the scalar path would (same derived seed,
-  same draw), so batch and scalar results agree to numerical precision;
-  the test suite asserts this equivalence for both methods.
+  same draw) and the same kernel arithmetic, so batch and scalar results
+  are bit-identical for both methods; the test suite asserts this.
 
 The analytic method applies only to loss processes that *declare*
 i.i.d. intervals (``is_iid = True``): Propositions 1 and 3 factorise the
@@ -42,14 +43,12 @@ import numpy as np
 from .. import telemetry
 from ..lossprocess.base import make_rng
 from ..lossprocess.iid import ShiftedExponentialIntervals
-from ..montecarlo.basic import analytic_basic_throughput, simulate_basic_control
-from ..montecarlo.comprehensive import (
-    analytic_comprehensive_throughput,
-    simulate_comprehensive_control,
-)
+from ..montecarlo.basic import analytic_basic_throughput, analytic_samples
+from ..montecarlo.comprehensive import analytic_comprehensive_throughput
 from ..montecarlo.sweeps import derive_point_seed
 from ..montecarlo.vectorized import (
     evaluate_control_arrays,
+    sampled_control_summary,
     sliding_estimates,
     summarize_rows,
 )
@@ -243,21 +242,15 @@ def _simulate_resolved(config: SimConfig) -> SimResult:
     comprehensive = config.control == "comprehensive"
 
     if config.method == "montecarlo":
-        run = (
-            simulate_comprehensive_control if comprehensive else simulate_basic_control
+        summary = sampled_control_summary(
+            formula, process, config.num_events, weights, config.seed,
+            comprehensive,
         )
-        outcome = run(
-            formula,
-            process,
-            num_events=config.num_events,
-            weights=weights,
-            seed=config.seed,
-        )
-        throughput = float(outcome.throughput)
-        normalized = float(outcome.normalized_throughput)
-        empirical = float(outcome.loss_event_rate)
-        covariance = float(outcome.interval_estimate_covariance)
-        estimator_cv = float(outcome.estimator_cv)
+        throughput = summary["throughput"]
+        normalized = summary["normalized_throughput"]
+        empirical = summary["loss_event_rate"]
+        covariance = summary["interval_estimate_covariance"]
+        estimator_cv = summary["estimator_cv"]
     else:
         _require_iid(process)
         integrate = (
@@ -381,7 +374,7 @@ class BatchConfig:
         ``seed_axes`` list overrides that rule, so a spec whose *grid*
         names a single-valued axis still derives from it.  Either way,
         ``share_noise=False`` batches reproduce the matching campaign
-        point for point, to numerical precision.
+        point for point, bit for bit.
         """
         filtered = {
             name: value
@@ -610,23 +603,6 @@ def _normalized_weight_array(weights: np.ndarray) -> np.ndarray:
     return weight_array / weight_array.sum()
 
 
-def _analytic_point_samples(
-    process: Any, num_samples: int, window: int, seed: Optional[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw one point's integration sample exactly as the scalar path.
-
-    Same generator, same draw order (``num_samples * window`` window
-    entries first, then ``num_samples`` next intervals), so a matched
-    seed reproduces the scalar result.
-    """
-    rng = make_rng(seed)
-    draws = process.sample_intervals(num_samples * window, rng).reshape(
-        num_samples, window
-    )
-    intervals = process.sample_intervals(num_samples, rng)
-    return draws, intervals
-
-
 def _run_batch_analytic(
     config: BatchConfig,
     formulas: Sequence[Any],
@@ -720,17 +696,23 @@ def _run_batch_analytic(
             estimate_rows = []
             next_rows = []
             interval_rows = []
+            # analytic_window_estimates normalises its weights, so it gets
+            # the profile's own, as in the scalar path (renormalising
+            # ``weights`` again would move the last bit).
+            profile_weights = config.profile_for(history_length).weights()
             for point in points:
                 seed = config.point_seed(
                     history_length=history_length, **point["axes"]
                 )
                 seeds.append(seed)
-                draws, theta = _analytic_point_samples(
+                draws, theta = analytic_samples(
                     point["process"], config.num_events, history_length, seed
                 )
                 interval_rows.append(theta)
                 if comprehensive:
-                    now, nxt = analytic_window_estimates(draws, theta, weights)
+                    now, nxt = analytic_window_estimates(
+                        draws, theta, profile_weights
+                    )
                     estimate_rows.append(now)
                     next_rows.append(nxt)
                 else:
@@ -841,16 +823,14 @@ def _run_batch_montecarlo(
             kept, estimates, candidates, seeds = _per_point_arrays(
                 config, points, int(history_length), weights
             )
+        # The first weight renormalised exactly as the scalar path's
+        # kernel does, so matched-seed rows stay bit-identical to it.
+        w1 = float(_normalized_weight_array(weights)[0])
         for formula in formulas:
-            rates, durations = evaluate_control_arrays(
-                formula,
-                kept,
-                estimates,
-                candidates,
-                float(weights[0]),
+            _, durations = evaluate_control_arrays(
+                formula, kept, estimates, candidates, w1,
                 comprehensive=comprehensive,
             )
-            del rates
             summaries = summarize_rows(formula, kept, estimates, durations)
             formula_config = _component_config(FORMULAS, formula)
             for row, point in enumerate(points):

@@ -89,6 +89,18 @@ def canonical_payload(value: Any) -> Any:
       address: the same spec produced a different key every process, so
       those points never hit the cache.
     """
+    # Exact builtin types first: the ABC checks below cost more than the
+    # rest of a key together.  Subclasses (numpy scalars, OrderedDict,
+    # enums) fall through to them unchanged.
+    kind = type(value)
+    if kind is dict:
+        return {str(key): canonical_payload(entry) for key, entry in value.items()}
+    if kind is list or kind is tuple:
+        return [canonical_payload(entry) for entry in value]
+    if kind is str or kind is int or kind is bool or value is None:
+        return value
+    if kind is float:
+        return value if math.isfinite(value) else None
     if isinstance(value, Mapping):
         return {str(key): canonical_payload(entry) for key, entry in value.items()}
     if isinstance(value, (list, tuple)):

@@ -9,8 +9,9 @@ estimator window lengths ``L in {1, 2, 4, 8, 16}``.
 
 Two evaluation paths are provided:
 
-* :func:`simulate_basic_control` -- run the actual control over a sampled
-  interval sequence (exercises :class:`~repro.core.control.BasicControl`);
+* :func:`simulate_basic_control` -- the vectorised kernel over a sampled
+  interval sequence (the same call as :func:`repro.api.simulate`; the
+  per-event :class:`~repro.core.control.BasicControl` loop is its oracle);
 * :func:`analytic_basic_throughput` -- evaluate Proposition 1's expectation
   directly by Monte-Carlo integration over independent draws of the
   estimator window, which converges faster because it does not carry the
@@ -23,14 +24,14 @@ assert their agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.control import BasicControl, ControlTrace
 from ..core.estimator import tfrc_weights
 from ..core.formulas import LossThroughputFormula
 from ..lossprocess.base import LossProcess, make_rng
+from .vectorized import sampled_control_summary
 
 __all__ = [
     "BasicControlResult",
@@ -68,19 +69,30 @@ class BasicControlResult:
     num_events: int
 
 
-def _summarize(trace: ControlTrace, formula: LossThroughputFormula) -> BasicControlResult:
-    estimator_mean = float(np.mean(trace.estimates))
-    estimator_cv = (
-        float(np.std(trace.estimates) / estimator_mean) if estimator_mean > 0 else 0.0
-    )
-    return BasicControlResult(
-        throughput=trace.throughput,
-        normalized_throughput=trace.normalized_throughput(formula),
-        loss_event_rate=trace.loss_event_rate,
-        interval_estimate_covariance=trace.interval_estimate_covariance(),
-        estimator_cv=estimator_cv,
-        num_events=len(trace),
-    )
+def resolve_weights(
+    weights: Optional[Sequence[float]], history_length: Optional[int]
+) -> Sequence[float]:
+    """The given estimator weights, or the TFRC profile of ``history_length``
+    (default 8); passing both is an error."""
+    if weights is None:
+        return tfrc_weights(history_length if history_length is not None else 8)
+    if history_length is not None:
+        raise ValueError("pass either weights or history_length, not both")
+    return weights
+
+
+def analytic_samples(
+    loss_process: LossProcess, num_samples: int, window: int, seed: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The analytic paths' integration sample from one ``make_rng(seed)``
+    stream: ``(num_samples, window)`` estimator windows drawn first, then
+    ``num_samples`` next intervals ``theta_0``."""
+    if num_samples < 100:
+        raise ValueError("num_samples must be at least 100")
+    rng = make_rng(seed)
+    draws = loss_process.sample_intervals(num_samples * window, rng)
+    return (draws.reshape(num_samples, window),
+            loss_process.sample_intervals(num_samples, rng))
 
 
 def simulate_basic_control(
@@ -91,7 +103,7 @@ def simulate_basic_control(
     history_length: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> BasicControlResult:
-    """Run the basic control over a sampled loss-event interval sequence.
+    """Evaluate the basic control over a sampled loss-event interval sequence.
 
     Parameters
     ----------
@@ -110,18 +122,11 @@ def simulate_basic_control(
     seed:
         Random seed for reproducibility.
     """
-    if num_events < 10:
-        raise ValueError("num_events must be at least 10")
-    if weights is None:
-        weights = tfrc_weights(history_length if history_length is not None else 8)
-    elif history_length is not None:
-        raise ValueError("pass either weights or history_length, not both")
-    rng = make_rng(seed)
-    window = len(list(weights))
-    intervals = loss_process.sample_intervals(num_events + window, rng)
-    control = BasicControl(formula, weights=weights)
-    trace = control.run(intervals, warmup=window)
-    return _summarize(trace, formula)
+    summary = sampled_control_summary(
+        formula, loss_process, num_events,
+        resolve_weights(weights, history_length), seed,
+    )
+    return BasicControlResult(num_events=num_events, **summary)
 
 
 def analytic_basic_throughput(
@@ -140,22 +145,12 @@ def analytic_basic_throughput(
     estimated from independent draws of windows and intervals.  Returns the
     normalized throughput denominator's reciprocal, i.e. ``E[X(0)]``.
     """
-    if num_samples < 100:
-        raise ValueError("num_samples must be at least 100")
-    if weights is None:
-        weights = tfrc_weights(history_length if history_length is not None else 8)
-    elif history_length is not None:
-        raise ValueError("pass either weights or history_length, not both")
-    weight_array = np.asarray(list(weights), dtype=float)
+    weight_array = np.asarray(resolve_weights(weights, history_length), dtype=float)
     weight_array = weight_array / weight_array.sum()
-    window = weight_array.size
-    rng = make_rng(seed)
-    # Draw windows of L intervals for the estimator and one interval for theta_0.
-    window_draws = loss_process.sample_intervals(num_samples * window, rng).reshape(
-        num_samples, window
+    window_draws, intervals = analytic_samples(
+        loss_process, num_samples, weight_array.size, seed
     )
     estimates = window_draws @ weight_array
-    intervals = loss_process.sample_intervals(num_samples, rng)
     rates = np.asarray(formula.rate_of_interval(estimates), dtype=float)
     mean_interval = float(np.mean(intervals))
     mean_duration = float(np.mean(intervals / rates))

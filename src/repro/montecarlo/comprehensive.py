@@ -1,9 +1,10 @@
 """Monte-Carlo evaluation of the comprehensive control.
 
 Companion to :mod:`repro.montecarlo.basic` for the comprehensive control
-(equation (4) of the paper).  Provides both a simulation path (running
-:class:`~repro.core.control.ComprehensiveControl` over a sampled interval
-sequence) and an analytic path evaluating Proposition 3's exact throughput
+(equation (4) of the paper).  Provides both a simulation path (the
+vectorised kernel over a sampled interval sequence, checked against the
+per-event :class:`~repro.core.control.ComprehensiveControl` loop as test
+oracle) and an analytic path evaluating Proposition 3's exact throughput
 expression by Monte-Carlo integration over independent estimator windows,
 which is valid for i.i.d. loss processes with SQRT or PFTK-simplified
 formulas.
@@ -16,15 +17,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.control import ComprehensiveControl, ControlTrace
-from ..core.estimator import tfrc_weights
 from ..core.formulas import (
     LossThroughputFormula,
     PftkSimplifiedFormula,
     SqrtFormula,
 )
 from ..core.throughput import proposition3_correction
-from ..lossprocess.base import LossProcess, make_rng
+from ..lossprocess.base import LossProcess
+from .basic import BasicControlResult, analytic_samples, resolve_weights
+from .vectorized import sampled_control_summary
+from .vectorized_analytic import analytic_window_estimates
 
 __all__ = [
     "ComprehensiveControlResult",
@@ -34,15 +36,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ComprehensiveControlResult:
+class ComprehensiveControlResult(BasicControlResult):
     """Summary of one Monte-Carlo run of the comprehensive control."""
-
-    throughput: float
-    normalized_throughput: float
-    loss_event_rate: float
-    interval_estimate_covariance: float
-    estimator_cv: float
-    num_events: int
 
 
 def simulate_comprehensive_control(
@@ -53,30 +48,12 @@ def simulate_comprehensive_control(
     history_length: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> ComprehensiveControlResult:
-    """Run the comprehensive control over a sampled interval sequence."""
-    if num_events < 10:
-        raise ValueError("num_events must be at least 10")
-    if weights is None:
-        weights = tfrc_weights(history_length if history_length is not None else 8)
-    elif history_length is not None:
-        raise ValueError("pass either weights or history_length, not both")
-    rng = make_rng(seed)
-    window = len(list(weights))
-    intervals = loss_process.sample_intervals(num_events + window, rng)
-    control = ComprehensiveControl(formula, weights=weights)
-    trace = control.run(intervals, warmup=window)
-    estimator_mean = float(np.mean(trace.estimates))
-    estimator_cv = (
-        float(np.std(trace.estimates) / estimator_mean) if estimator_mean > 0 else 0.0
+    """Evaluate the comprehensive control over a sampled interval sequence."""
+    summary = sampled_control_summary(
+        formula, loss_process, num_events,
+        resolve_weights(weights, history_length), seed, comprehensive=True,
     )
-    return ComprehensiveControlResult(
-        throughput=trace.throughput,
-        normalized_throughput=trace.normalized_throughput(formula),
-        loss_event_rate=trace.loss_event_rate,
-        interval_estimate_covariance=trace.interval_estimate_covariance(),
-        estimator_cv=estimator_cv,
-        num_events=len(trace),
-    )
+    return ComprehensiveControlResult(num_events=num_events, **summary)
 
 
 def analytic_comprehensive_throughput(
@@ -99,29 +76,16 @@ def analytic_comprehensive_throughput(
         raise TypeError(
             "Proposition 3's closed form requires SQRT or PFTK-simplified"
         )
-    if num_samples < 100:
-        raise ValueError("num_samples must be at least 100")
-    if weights is None:
-        weights = tfrc_weights(history_length if history_length is not None else 8)
-    elif history_length is not None:
-        raise ValueError("pass either weights or history_length, not both")
-    weight_array = np.asarray(list(weights), dtype=float)
-    weight_array = weight_array / weight_array.sum()
-    window = weight_array.size
-    rng = make_rng(seed)
-    window_draws = loss_process.sample_intervals(num_samples * window, rng).reshape(
-        num_samples, window
+    weights = np.asarray(resolve_weights(weights, history_length), dtype=float)
+    window_draws, intervals = analytic_samples(
+        loss_process, num_samples, weights.size, seed
     )
-    intervals = loss_process.sample_intervals(num_samples, rng)
-    estimates_now = window_draws @ weight_array
-    # Shift theta_0 into the window to obtain theta_hat_1.
-    shifted = np.concatenate(
-        [intervals[:, None], window_draws[:, :-1]], axis=1
+    estimates_now, estimates_next = analytic_window_estimates(
+        window_draws, intervals, weights
     )
-    estimates_next = shifted @ weight_array
     rates = np.asarray(formula.rate_of_interval(estimates_now), dtype=float)
     corrections = proposition3_correction(
-        formula, estimates_now, estimates_next, float(weight_array[0])
+        formula, estimates_now, estimates_next, float(weights[0] / weights.sum())
     )
     mean_interval = float(np.mean(intervals))
     mean_duration = float(np.mean(intervals / rates - corrections))

@@ -18,11 +18,11 @@ controls in whole-array numpy passes:
 
 Semantics match the loop implementations exactly (same warm-up
 convention: the first ``L`` intervals seed the estimator history and are
-excluded from the reported trace); the equivalence is asserted to
-numerical precision by the test suite.  The batch facade
+excluded from the reported trace); the loops stay as the test oracle and
+the equivalence is asserted to numerical precision.  A single point is
+:func:`sampled_control_summary`, a batch of one; the batch facade
 :func:`repro.api.simulate_batch` stacks many (p, cv, L) grid points as
-rows of one interval matrix and amortises each pass across the whole
-grid.
+rows of one interval matrix and amortises each pass across the grid.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from ..core.formulas import (
     PftkSimplifiedFormula,
     SqrtFormula,
 )
+from ..lossprocess.base import LossProcess, make_rng
 
 __all__ = [
     "sliding_estimates",
@@ -46,6 +47,7 @@ __all__ = [
     "summarize_rows",
     "vectorized_control_trace",
     "vectorized_control_summaries",
+    "sampled_control_summary",
 ]
 
 #: Growth-activation tolerance, identical to the loop implementation's.
@@ -53,6 +55,9 @@ _GROWTH_EPSILON = 1e-15
 
 #: Duration floor, identical to the loop implementation's.
 _DURATION_FLOOR = 1e-12
+
+#: Events per column chunk of the ODE branch's integration grid.
+_ODE_CHUNK = 512
 
 
 def _normalized_weights(weights: Sequence[float]) -> np.ndarray:
@@ -169,12 +174,20 @@ def _evaluate_control_arrays(
             - (64.0 / 5.0) * c2q * (next_estimates**-2.5 - estimates**-2.5)
         ) / w1
     else:
-        # Integrate the growth phase of ODE (16) with the same trapezoid
-        # rule as the loop implementation, one linspace axis for all
-        # elements at once.
-        grid = np.linspace(estimates, next_estimates, ode_steps, axis=0)
-        inverse_rate = 1.0 / np.asarray(formula.rate_of_interval(grid), dtype=float)
-        growth_time = np.trapezoid(inverse_rate, grid, axis=0) / w1
+        # ODE (16)'s growth phase by the loop's trapezoid rule, in column
+        # chunks that bound the grid; the last chunk is never one column
+        # wide (numpy sums that reduction pairwise), so no bit changes.
+        growth_time = np.empty(np.shape(estimates))
+        start, total = 0, growth_time.shape[-1]
+        while start < total:
+            stop = total if total - start < 2 * _ODE_CHUNK else start + _ODE_CHUNK
+            grid = np.linspace(
+                estimates[..., start:stop], next_estimates[..., start:stop],
+                ode_steps, axis=0,
+            )
+            inverse_rate = 1.0 / np.asarray(formula.rate_of_interval(grid), dtype=float)
+            growth_time[..., start:stop] = np.trapezoid(inverse_rate, grid, axis=0) / w1
+            start = stop
     linear_time = (next_estimates - estimates) / (w1 * rates)
     corrected = np.maximum(durations - (linear_time - growth_time), _DURATION_FLOOR)
     durations = np.where(grows, corrected, durations)
@@ -235,6 +248,26 @@ def vectorized_control_summaries(
         float(weight_array[0]), comprehensive, ode_steps,
     )
     return summarize_rows(formula, kept, estimates, durations)
+
+
+def sampled_control_summary(
+    formula: LossThroughputFormula,
+    loss_process: LossProcess,
+    num_events: int,
+    weights: Sequence[float],
+    seed: Optional[int] = None,
+    comprehensive: bool = False,
+) -> Dict[str, float]:
+    """Summarise one control run over ``num_events + L`` intervals drawn
+    from ``make_rng(seed)``, as a one-row :func:`vectorized_control_summaries`
+    matrix: bit-identical to a ``simulate_batch(share_noise=False)`` row."""
+    if num_events < 10:
+        raise ValueError("num_events must be at least 10")
+    intervals = loss_process.sample_intervals(num_events + len(weights), make_rng(seed))
+    summaries = vectorized_control_summaries(
+        formula, intervals[None, :], weights, comprehensive
+    )
+    return {name: float(values[0]) for name, values in summaries.items()}
 
 
 def summarize_rows(

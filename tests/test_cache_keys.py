@@ -10,10 +10,16 @@ configs (see ``make_random_config`` in ``conftest.py`` -- a tiny
 hypothesis-free property harness).
 """
 
+import dataclasses
 import json
+import math
+import numbers
+from collections import OrderedDict
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.experiments import (
@@ -135,6 +141,140 @@ class TestCanonicalPayload:
             payload, sort_keys=True, separators=(",", ":"), default=str
         )
         assert canonical_json(payload) == legacy
+
+
+def _abc_only_canonical_payload(value):
+    """The canonicalisation before its exact-type fast path, verbatim."""
+    if isinstance(value, Mapping):
+        return {
+            str(key): _abc_only_canonical_payload(entry)
+            for key, entry in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [_abc_only_canonical_payload(entry) for entry in value]
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        entry = float(value)
+        return entry if math.isfinite(entry) else None
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            "__component__": type(value).__name__,
+            **_abc_only_canonical_payload(dataclasses.asdict(value)),
+        }
+    to_dict = getattr(value, "to_dict", None)
+    if callable(to_dict):
+        return {
+            "__component__": type(value).__name__,
+            **_abc_only_canonical_payload(to_dict()),
+        }
+    return str(value)
+
+
+def _abc_only_canonical_json(payload):
+    return json.dumps(
+        _abc_only_canonical_payload(payload),
+        sort_keys=True, separators=(",", ":"), allow_nan=False,
+    )
+
+
+class Knob:
+    """A non-dataclass component that canonicalises through to_dict()."""
+
+    def __init__(self, level):
+        self.level = level
+
+    def to_dict(self):
+        return {"level": self.level, "shape": (1, 2)}
+
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(min_value=-1000, max_value=1000).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.integers(min_value=0, max_value=5).map(Knob),
+    st.sampled_from([
+        ShiftedExponentialIntervals(shift=1.0, rate=0.5),
+        ShiftedExponentialIntervals(shift=2.0, rate=0.25),
+    ]),
+)
+
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.integers(-3, 3), children, max_size=3),
+        st.dictionaries(st.text(max_size=4), children, max_size=3).map(
+            lambda entries: OrderedDict(sorted(entries.items()))
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+class TestCanonicalFastPath:
+    """The exact-type fast path must not change one canonical byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAYLOADS)
+    def test_matches_the_abc_only_canonicalisation(self, payload):
+        assert canonical_json(payload) == _abc_only_canonical_json(payload)
+
+    def test_bool_and_numpy_subclasses_keep_their_forms(self):
+        payload = {"b": True, "i": np.int64(3), "x": np.float64("nan"),
+                   "flag": np.bool_(False), "od": OrderedDict(a=(1, 2))}
+        assert canonical_payload(payload) == {
+            "b": True, "i": 3, "x": None, "flag": "False", "od": {"a": [1, 2]},
+        }
+
+    # Digests computed before the fast path existed: cache keys already
+    # in a store or an LRU keep hitting.
+    POINT = {"runner": "montecarlo-basic", "seed": 12345, "params": {
+        "formula": {"kind": "pftk-simplified", "rtt": 1.0},
+        "loss_event_rate": 0.1, "coefficient_of_variation": 0.999,
+        "history_length": 8, "num_events": 20000}}
+
+    def test_campaign_point_key_is_pinned(self):
+        assert result_key(self.POINT) == (
+            "957ec07903b55cc2542e9a3c658908142bcd9f74f903d2f5704ac67db02dfb4e"
+        )
+
+    def test_nested_payload_key_is_pinned(self):
+        payload = {
+            "t": (1, (2.5, "x")),
+            "np": [np.float64(0.1), np.int32(3), np.float32(0.5), np.bool_(True)],
+            "nonfinite": [float("nan"), -math.inf, np.float64("inf")],
+            "flags": [True, False, None],
+            "process": ShiftedExponentialIntervals(shift=1.0, rate=0.5),
+            "knob": Knob(3),
+            "ordered": OrderedDict([("b", 1), ("a", [2, 3])]),
+            7: "int key",
+        }
+        assert result_key(payload) == (
+            "b1e2e4ad9ed70258f4d93e7a1fd27cab38ef02c918c11212b8a85a80c9bc0d0e"
+        )
+
+    def test_prediction_key_is_pinned(self):
+        config = api.SimConfig(
+            formula="pftk-simplified", loss_event_rate=0.1,
+            coefficient_of_variation=0.999, history_length=8,
+            num_events=20000, seed=1,
+        )
+        assert prediction_key(config) == (
+            "574181190d3dc12d95bc0fb4bc7dc6f393401e423368afcc09cf23eecd9c7158"
+        )
 
 
 class TestStoreKeyRegression:
