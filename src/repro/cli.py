@@ -349,7 +349,9 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     import asyncio
 
     from .service import PredictionService, ServiceConfig, serve_forever
+    from .service.allocator import retain_freed_memory
 
+    retain_freed_memory()
     if arguments.telemetry:
         telemetry.enable(fresh=True)
     service = PredictionService(

@@ -3,15 +3,21 @@
 Covers the service core directly (single-flight coalescing, cache hits,
 stats accuracy, the batch-vs-``simulate_batch`` differential) and the
 HTTP front-end over a real loopback socket (schema round-trip, malformed
-request handling, routing).  No pytest-asyncio: each test drives its own
+request handling, routing), and the allocator thresholds the server
+process sets.  No pytest-asyncio: each test drives its own
 event loop with ``asyncio.run``.
 """
 
 import asyncio
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import api
 from repro.experiments.store import _json_safe
 from repro.service import (
@@ -22,6 +28,7 @@ from repro.service import (
     plan_shards,
     start_service,
 )
+from repro.service.allocator import retain_freed_memory
 
 NUM_EVENTS = 2000
 
@@ -437,3 +444,54 @@ class TestHttpFrontend:
             assert caches == ["miss", "hit"]
 
         run(lambda: self._with_server(body))
+
+
+# ----------------------------------------------------------------------
+# Allocator thresholds of the server process
+# ----------------------------------------------------------------------
+_CHURN_SCRIPT = """
+import resource, sys
+import numpy as np
+from repro.service.allocator import retain_freed_memory
+
+if sys.argv[1] == "retain":
+    assert retain_freed_memory()
+
+
+def churn():
+    for _ in range(20):
+        blocks = [np.ones(1 << 17) for _ in range(4)]  # 4 x 1 MiB
+        del blocks
+
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestAllocator:
+    @staticmethod
+    def _faults(mode):
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", _CHURN_SCRIPT, mode],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        return int(completed.stdout)
+
+    def test_freed_buffers_are_reused_without_page_faults(self):
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("malloc thresholds are a glibc feature")
+        # 20 rounds of 4 MiB freed at once: the default trim threshold
+        # hands the pages back each round and the next round faults them
+        # in again (~1024 faults a round); retained, they are reused.
+        assert self._faults("default") > 5000
+        assert self._faults("retain") < 500
+
+    def test_other_c_libraries_are_left_alone(self, monkeypatch):
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("", ""))
+        assert retain_freed_memory() is False
